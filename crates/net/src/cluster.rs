@@ -53,8 +53,9 @@ pub struct NetConfig {
     /// implementation by default). A restarted replica gets a **fresh**
     /// machine from this factory and fills it through snapshot catch-up.
     pub state_machine: StateMachineFactory,
-    /// Per-replica checkpoint cadence (applied commands between snapshot
-    /// cuts); see `NetReplicaConfig::checkpoint_interval`.
+    /// Per-replica checkpoint floor: the least number of applied consensus
+    /// units between snapshot cuts (a large state waits longer); see
+    /// `NetReplicaConfig::checkpoint_interval`.
     pub checkpoint_interval: u64,
     /// How long a restarted replica waits for a complete snapshot transfer
     /// before serving with empty state.
@@ -177,7 +178,7 @@ impl NetConfig {
         self
     }
 
-    /// Sets the checkpoint cadence (applied commands between snapshot cuts).
+    /// Sets the checkpoint floor (least applied units between snapshot cuts).
     #[must_use]
     pub fn with_checkpoint_interval(mut self, interval: u64) -> Self {
         self.checkpoint_interval = interval;

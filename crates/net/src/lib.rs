@@ -32,8 +32,9 @@
 //! Each replica executes decided commands against a pluggable
 //! [`consensus_core::StateMachine`] (the `kvstore` reference implementation
 //! unless [`NetConfig::with_state_machine`] installs another), checkpoints
-//! it every `checkpoint_interval` commands, and retains the decided suffix
-//! since. That powers **snapshot-based state transfer**: a replica
+//! it once at least `checkpoint_interval` units have been applied *and* they
+//! weigh as much as the last checkpoint (so the cost per command does not
+//! grow with the state), and retains the decided suffix since. That powers **snapshot-based state transfer**: a replica
 //! restarted via [`NetCluster::restart_replica`] comes back empty,
 //! broadcasts [`WireMessage::SnapshotRequest`], installs the first complete
 //! [`WireMessage::SnapshotChunk`] transfer (checkpoint + suffix replay +

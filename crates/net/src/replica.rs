@@ -32,11 +32,15 @@
 //!
 //! # Snapshot-based state transfer
 //!
-//! The core loop checkpoints its state machine every
-//! [`NetReplicaConfig::checkpoint_interval`] applied commands — snapshot
-//! bytes, the floor-compacted `AppliedSummary` of the ids it covers, and
-//! the protocol's `ExecutionCursor` at cut time — and retains the commands
-//! applied since in a suffix log. A replica started with
+//! The core loop checkpoints its state machine — the floor-compacted
+//! `AppliedSummary`s of the command and unit ids it covers, the protocol's
+//! `ExecutionCursor` at cut time, and the snapshot bytes — and retains the
+//! units applied since in a suffix log. A cut is due once at least
+//! [`NetReplicaConfig::checkpoint_interval`] units have been applied since
+//! the last one *and* that suffix has grown as large as the checkpoint it
+//! extends, so serialising the state costs O(1) per applied command however
+//! much state there is, while suffix memory, log size and replay work stay
+//! bounded by one checkpoint's size. A replica started with
 //! [`NetReplicaConfig::catch_up`] — which is how
 //! `NetCluster::restart_replica` brings a crashed node back — begins in
 //! a *restoring* state: it broadcasts [`WireMessage::SnapshotRequest`] to
@@ -93,18 +97,112 @@ use consensus_types::{
     LatencyBreakdown, NodeId, SimTime, StateTransfer, Timestamp,
 };
 use kvstore::KvStore;
+use serde::{Deserialize as _, Serialize as _};
 use simnet::{Context, LatencyMatrix, Process};
-use telemetry::{Counter, Registry, SpanEvent, TracePhase};
+use telemetry::{Counter, Gauge, Histogram, Registry, SpanEvent, TracePhase};
 use wal::{FsyncPolicy, Recovery, Wal, WalConfig};
 
 use crate::event_loop::{EventLoop, IoCmd, IoQueue};
-use crate::wire::{frame_bytes, Event, WireMessage};
+use crate::wire::{frame_bytes, Event, SnapshotChunkRef, WireMessage, MAX_FRAME_LEN};
 
 /// Bytes of transfer payload per [`WireMessage::SnapshotChunk`] frame.
 /// Bounded so a large state machine never produces one giant frame that
 /// monopolizes the donor's write buffer (and so transfers interleave with
 /// protocol traffic).
 const SNAPSHOT_CHUNK: usize = 256 * 1024;
+
+/// Suffix size (in [`suffix_cost`] bytes) that forces a cut however large
+/// the checkpoint is. A donation's last [`WireMessage::SnapshotChunk`]
+/// carries the whole suffix in one frame; a command encodes to about half
+/// the bytes it occupies in memory, so a quarter of [`MAX_FRAME_LEN`] leaves
+/// ample room for the round that crosses the threshold, the chunk's payload
+/// slice and the cursor.
+const SUFFIX_BYTES_CAP: usize = MAX_FRAME_LEN as usize / 4;
+
+/// What one applied unit adds to the suffix log's size: its commands at
+/// their in-memory size, which is what retaining them costs.
+fn suffix_cost(unit: &Command) -> usize {
+    std::mem::size_of_val(unit.leaves())
+}
+
+/// The checkpoint cadence: a cut is due once `interval` units have been
+/// applied since the last one and they weigh as much as the checkpoint they
+/// extend (`checkpoint_bytes`, 0 before the first cut) — the append-only-file
+/// rewrite rule. Cutting costs O(checkpoint), so paying it once per
+/// checkpoint's worth of applied commands makes it O(1) per command, while
+/// the suffix a donor ships, a log replays and this loop retains never
+/// outgrows one checkpoint (or [`SUFFIX_BYTES_CAP`], whichever is smaller).
+fn checkpoint_due(
+    interval: u64,
+    suffix_units: u64,
+    suffix_bytes: usize,
+    checkpoint_bytes: usize,
+) -> bool {
+    suffix_units >= interval && suffix_bytes >= checkpoint_bytes.min(SUFFIX_BYTES_CAP)
+}
+
+/// Serializes a checkpoint payload: both id summaries and the cursor, then
+/// the snapshot as one raw length-prefixed blob — last, so the buffer is
+/// sized once and the snapshot is copied once.
+fn encode_checkpoint(
+    snapshot: &[u8],
+    applied: &AppliedSummary,
+    ordered: &AppliedSummary,
+    cursor: &ExecutionCursor,
+) -> Vec<u8> {
+    let mut payload = Vec::new();
+    applied.serialize(&mut payload);
+    ordered.serialize(&mut payload);
+    cursor.serialize(&mut payload);
+    payload.reserve_exact(snapshot.len() + 10); // the blob and its varint length
+    serde::write_bytes(&mut payload, snapshot);
+    payload
+}
+
+/// The parts of a checkpoint payload; the snapshot borrows from it.
+struct CheckpointParts<'a> {
+    snapshot: &'a [u8],
+    applied: AppliedSummary,
+    ordered: AppliedSummary,
+    cursor: ExecutionCursor,
+}
+
+/// Decodes what [`encode_checkpoint`] wrote; anything else — a payload cut
+/// by an older build, trailing bytes — is an error.
+fn decode_checkpoint(mut payload: &[u8]) -> serde::Result<CheckpointParts<'_>> {
+    let input = &mut payload;
+    let applied = AppliedSummary::deserialize(input)?;
+    let ordered = AppliedSummary::deserialize(input)?;
+    let cursor = ExecutionCursor::deserialize(input)?;
+    let snapshot = serde::read_bytes(input)?;
+    if !input.is_empty() {
+        return Err(serde::Error::custom("trailing bytes after checkpoint payload"));
+    }
+    Ok(CheckpointParts { snapshot, applied, ordered, cursor })
+}
+
+/// Telemetry of the checkpoint path, registered under `checkpoint.*`.
+struct CheckpointStats {
+    /// Checkpoints cut.
+    cuts: Counter,
+    /// Microseconds one cut held the core loop (snapshot, encode, log).
+    cut_us: Histogram,
+    /// Size of the latest checkpoint payload.
+    payload_bytes: Gauge,
+    /// Units applied since the latest cut (the suffix log's length).
+    suffix_units: Gauge,
+}
+
+impl CheckpointStats {
+    fn register(registry: &Registry) -> Self {
+        Self {
+            cuts: registry.counter("checkpoint.cuts"),
+            cut_us: registry.histogram("checkpoint.cut_us"),
+            payload_bytes: registry.gauge("checkpoint.payload_bytes"),
+            suffix_units: registry.gauge("checkpoint.suffix_units"),
+        }
+    }
+}
 
 /// Emulates a WAN latency matrix on a fast local network by delaying each
 /// outbound frame until `one_way(src, dst) × scale` has elapsed since it was
@@ -156,9 +254,12 @@ pub struct NetReplicaConfig {
     /// Builds this replica's state machine (the `kvstore` reference
     /// implementation by default).
     pub state_machine: StateMachineFactory,
-    /// Cut a state-machine checkpoint (snapshot + watermark) every this
-    /// many applied commands; the commands since the checkpoint form the
-    /// replayable suffix served to catching-up peers.
+    /// The least number of applied consensus units (a batch is one unit)
+    /// between two state-machine checkpoint cuts. Past it, a cut waits
+    /// until the units applied since the last one weigh as much as that
+    /// checkpoint, so a large state machine is serialised less often; the
+    /// units since the checkpoint form the replayable suffix served to
+    /// catching-up peers.
     pub checkpoint_interval: u64,
     /// Start in the *restoring* state: request a snapshot from the peers
     /// and only serve once restored (or once `catch_up_timeout` passes).
@@ -498,7 +599,9 @@ where
             batch_commands: self.registry.counter("batch.commands"),
             checkpoint: None,
             checkpoint_interval: self.config.checkpoint_interval.max(1),
+            checkpoint_stats: CheckpointStats::register(&self.registry),
             suffix_log: Vec::new(),
+            suffix_bytes: 0,
             restore: if self.config.catch_up && self.config.nodes > 1 {
                 Some(RestoreState {
                     deadline: Instant::now() + self.config.catch_up_timeout,
@@ -592,11 +695,12 @@ impl<M> TimerWheel<M> {
     }
 }
 
-/// The latest checkpoint: the serialized transfer payload — state-machine
-/// snapshot bytes paired with the floor-compacted [`AppliedSummary`]s of
-/// the command ids and consensus-unit ids it covers and the protocol's
-/// [`ExecutionCursor`] at cut time — plus the watermark. `payload` is
-/// reference-counted so donating never copies it.
+/// The latest checkpoint: the serialized transfer payload
+/// ([`encode_checkpoint`]) — the floor-compacted [`AppliedSummary`]s of the
+/// command ids and consensus-unit ids it covers, the protocol's
+/// [`ExecutionCursor`] at cut time and the state-machine snapshot bytes —
+/// plus the watermark. `payload` is reference-counted so donating never
+/// copies it.
 ///
 /// The applied-id summary exists because applying a command twice forks a
 /// replica's state machine away from its peers, and after a crash/restart
@@ -677,12 +781,17 @@ struct CoreLoop<P: Process> {
     batch_commands: Counter,
     /// The latest snapshot cut, served to catching-up peers.
     checkpoint: Option<Checkpoint>,
-    /// Cut a new checkpoint every this many applied commands.
+    /// The least number of applied units between two cuts (see
+    /// [`checkpoint_due`]).
     checkpoint_interval: u64,
-    /// Commands applied since the checkpoint, in execution order — the
+    checkpoint_stats: CheckpointStats,
+    /// Units applied since the checkpoint, in execution order — the
     /// replayable suffix a donor sends alongside its snapshot. Cleared on
-    /// every checkpoint cut, so its length is bounded by the interval.
+    /// every checkpoint cut; [`checkpoint_due`] bounds its size by the
+    /// checkpoint's own.
     suffix_log: Vec<Command>,
+    /// Running [`suffix_cost`] of `suffix_log`.
+    suffix_bytes: usize,
     /// `Some` while this replica is catching up from a peer snapshot.
     restore: Option<RestoreState>,
     /// Every *command* id this replica has applied (batch units count one
@@ -1100,6 +1209,7 @@ where
                     }
                 }
             }
+            self.suffix_bytes += suffix_cost(&unit);
             self.suffix_log.push(unit);
             batch.push(execution.decision);
         }
@@ -1132,7 +1242,15 @@ where
             }
         }
         self.io.push_many(cmds);
-        if self.suffix_log.len() as u64 >= self.checkpoint_interval {
+        let suffix_units = self.suffix_log.len() as u64;
+        self.checkpoint_stats.suffix_units.set(suffix_units);
+        let checkpoint_bytes = self.checkpoint.as_ref().map_or(0, |cp| cp.payload.len());
+        if checkpoint_due(
+            self.checkpoint_interval,
+            suffix_units,
+            self.suffix_bytes,
+            checkpoint_bytes,
+        ) {
             self.cut_checkpoint();
         }
     }
@@ -1180,28 +1298,23 @@ where
         let mut covered_units = AppliedSummary::default();
         let mut checkpoint_cursor = ExecutionCursor::Ids;
         if let Some(image) = &recovery.checkpoint {
-            let Ok((snapshot, applied, ordered, cursor)) =
-                bincode::deserialize::<(Vec<u8>, AppliedSummary, AppliedSummary, ExecutionCursor)>(
-                    &image.payload,
-                )
-            else {
+            let Ok(parts) = decode_checkpoint(&image.payload) else {
                 // A CRC-valid but undecodable checkpoint means a format
-                // change or writer bug, not disk damage; starting empty
-                // (and falling back to snapshot transfer if catch_up is
-                // set) beats serving half-restored state.
-                eprintln!("replica {} wal checkpoint undecodable; starting empty", self.id);
+                // change (a data dir written by an older build) or a writer
+                // bug, not disk damage; starting empty (and falling back to
+                // snapshot transfer if catch_up is set) beats serving
+                // half-restored state.
+                self.registry.counter("wal.checkpoint_undecodable").inc();
                 return;
             };
-            if self.executor.restore(&snapshot).is_err() {
-                eprintln!(
-                    "replica {} wal checkpoint rejected by state machine; starting empty",
-                    self.id
-                );
+            if self.executor.restore(parts.snapshot).is_err() {
+                // The state machine refused the bytes: start empty likewise.
+                self.registry.counter("wal.checkpoint_rejected").inc();
                 return;
             }
-            covered = applied;
-            covered_units = ordered;
-            checkpoint_cursor = cursor;
+            covered = parts.applied;
+            covered_units = parts.ordered;
+            checkpoint_cursor = parts.cursor;
         }
         // Suffix records are consensus units (batches log filtered to the
         // inner commands that actually applied), so replaying them through
@@ -1234,7 +1347,6 @@ where
         // The recovered state is the new baseline: cutting a checkpoint
         // writes it as one durable record and compacts away every segment
         // the scan just replayed.
-        self.suffix_log.clear();
         self.cut_checkpoint();
     }
 
@@ -1262,24 +1374,31 @@ where
     /// checkpoint watermark, and the cursor is the protocol's resume point
     /// for precisely that state.
     fn cut_checkpoint(&mut self) {
+        let started = Instant::now();
         let snapshot = self.executor.snapshot();
         let applied_through = self.executor.applied_through();
         self.observe_watermark(applied_through);
         let cursor = self.process.execution_cursor();
-        let payload = bincode::serialize(&(snapshot, &self.applied, &self.ordered, cursor))
-            .expect("checkpoint payload serializes");
+        let payload = encode_checkpoint(&snapshot, &self.applied, &self.ordered, &cursor);
         // The same serialized payload becomes the durable checkpoint record:
         // the log rotates to a fresh segment headed by it and compacts every
         // older segment away (they are fully covered). A cut that follows a
         // donor restore also lands here, so the log always reflects the
         // machine even when the bytes arrived over the wire.
         if let Some(wal) = &mut self.wal {
-            if let Err(err) = wal.append_checkpoint(applied_through, &payload) {
-                eprintln!("replica {} wal checkpoint failed: {err}", self.id);
+            if wal.append_checkpoint(applied_through, &payload).is_err() {
+                // The in-memory checkpoint below still serves donations; the
+                // log keeps its previous checkpoint and the suffix after it.
+                self.registry.counter("wal.checkpoint_failed").inc();
             }
         }
+        self.checkpoint_stats.payload_bytes.set(payload.len() as u64);
         self.checkpoint = Some(Checkpoint { applied_through, payload: Arc::new(payload) });
         self.suffix_log.clear();
+        self.suffix_bytes = 0;
+        self.checkpoint_stats.suffix_units.set(0);
+        self.checkpoint_stats.cuts.inc();
+        self.checkpoint_stats.cut_us.record(started.elapsed().as_micros() as u64);
     }
 
     /// Broadcasts a [`WireMessage::SnapshotRequest`] to every peer. The
@@ -1316,7 +1435,6 @@ where
             self.cut_checkpoint();
         }
         let checkpoint = self.checkpoint.clone().expect("checkpoint just cut");
-        let suffix = self.suffix_log.clone();
         // Donation-time cursor: consistent with snapshot *plus* suffix, so
         // the receiver's protocol resumes past everything it replays.
         let cursor = self.process.execution_cursor();
@@ -1332,24 +1450,25 @@ where
             let start = seq as usize * SNAPSHOT_CHUNK;
             let end = (start + SNAPSHOT_CHUNK).min(bytes.len());
             let last = seq + 1 == total;
-            // The last chunk's suffix is bounded by the checkpoint interval,
-            // but the cursor's decided backlog is not (a Mencius donor
-            // stalled on the crashed node's slot gap accumulates one entry
-            // per downtime commit). If the frame would exceed the wire's
-            // cap, shed backlog from the tail until it fits — the receiver
+            // The last chunk's suffix is bounded by the cadence rule (see
+            // `SUFFIX_BYTES_CAP`), but the cursor's decided backlog is not
+            // (a Mencius donor stalled on the crashed node's slot gap
+            // accumulates one entry per downtime commit). If the frame would
+            // exceed the wire's cap, shed backlog from the tail until it
+            // fits; only the cursor changes between attempts — the receiver
             // executes in slot order, so a truncated tail degrades to the
             // down-queue redelivery path instead of an invisible, silently
             // dropped transfer that stalls the whole restore.
             let mut send_cursor = if last { cursor.clone() } else { ExecutionCursor::Ids };
             let frame = loop {
-                let chunk = WireMessage::<P::Message>::SnapshotChunk {
+                let chunk = SnapshotChunkRef {
                     from: self.id,
                     applied_through: checkpoint.applied_through,
                     seq,
                     total,
-                    bytes: bytes[start..end].to_vec(),
-                    suffix: if last { suffix.clone() } else { Vec::new() },
-                    cursor: send_cursor.clone(),
+                    bytes: &bytes[start..end],
+                    suffix: if last { &self.suffix_log } else { &[] },
+                    cursor: &send_cursor,
                 };
                 match frame_bytes(&chunk) {
                     Ok(frame) => break Some(frame),
@@ -1448,17 +1567,13 @@ where
         for chunk in donor.chunks {
             payload.extend_from_slice(&chunk.expect("transfer complete"));
         }
-        let Ok((snapshot, covered, covered_units, checkpoint_cursor)) =
-            bincode::deserialize::<(Vec<u8>, AppliedSummary, AppliedSummary, ExecutionCursor)>(
-                &payload,
-            )
-        else {
+        let Ok(parts) = decode_checkpoint(&payload) else {
             // Broken donor: stay in the restoring state and wait for
             // another transfer (or the deadline).
             self.restore = Some(restore);
             return;
         };
-        if self.executor.restore(&snapshot).is_err() {
+        if self.executor.restore(parts.snapshot).is_err() {
             self.restore = Some(restore);
             return;
         }
@@ -1481,9 +1596,9 @@ where
         // covers the suffix the checkpoint-time cursor predates; merging
         // keeps whichever claim is further along.
         let mut transfer = StateTransfer {
-            applied: covered,
-            ordered: covered_units,
-            cursor: checkpoint_cursor.merge(donor.cursor),
+            applied: parts.applied,
+            ordered: parts.ordered,
+            cursor: parts.cursor.merge(donor.cursor),
         };
         transfer
             .applied
@@ -1509,7 +1624,6 @@ where
         self.stats.catch_ups_completed.inc();
         // The restored state is this replica's new baseline: checkpoint it
         // so it can donate in turn, then catch up on local executions.
-        self.suffix_log.clear();
         self.cut_checkpoint();
         let mut pending = std::mem::take(&mut restore.pending);
         self.apply_executions(&mut pending);
@@ -1565,5 +1679,87 @@ where
             let mut pending = std::mem::take(&mut restore.pending);
             self.apply_executions(&mut pending);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const UNIT: usize = 64 * std::mem::size_of::<Command>();
+
+    #[test]
+    fn a_cut_is_due_at_the_interval_until_the_checkpoint_outweighs_it() {
+        // No checkpoint yet: the interval alone decides.
+        assert!(!checkpoint_due(64, 63, 63 * UNIT, 0));
+        assert!(checkpoint_due(64, 64, 64 * UNIT, 0));
+        // A checkpoint lighter than 64 units of suffix: still every 64 units.
+        assert!(!checkpoint_due(64, 63, 63 * UNIT, 10 * UNIT));
+        assert!(checkpoint_due(64, 64, 64 * UNIT, 10 * UNIT));
+        // A heavier one: only once the suffix has caught up with it, however
+        // many units that takes — and never before the interval.
+        assert!(!checkpoint_due(64, 64, 64 * UNIT, 500 * UNIT));
+        assert!(!checkpoint_due(64, 499, 499 * UNIT, 500 * UNIT));
+        assert!(checkpoint_due(64, 500, 500 * UNIT, 500 * UNIT));
+        assert!(!checkpoint_due(64, 8, 500 * UNIT, 500 * UNIT));
+    }
+
+    #[test]
+    fn the_suffix_a_donor_ships_in_one_frame_stays_under_the_frame_cap() {
+        // However large the checkpoint, the cap forces the cut.
+        assert!(!checkpoint_due(1, 1, SUFFIX_BYTES_CAP - 1, usize::MAX));
+        assert!(checkpoint_due(1, 1, SUFFIX_BYTES_CAP, usize::MAX));
+        // A suffix that weighs the cap fits a frame with room to spare: the
+        // widest command (every varint at full length) still encodes to less
+        // than its in-memory size.
+        let widest = Command::put(CommandId::new(NodeId(u32::MAX), u64::MAX), u64::MAX, u64::MAX);
+        let encoded = bincode::serialize(&widest).expect("serializes").len();
+        assert!(encoded <= std::mem::size_of::<Command>(), "{encoded} bytes on the wire");
+        assert_eq!(suffix_cost(&widest), std::mem::size_of::<Command>());
+        assert!(2 * SUFFIX_BYTES_CAP <= MAX_FRAME_LEN as usize);
+    }
+
+    /// `lan-bigstate`'s state: the checkpoint payload is the snapshot plus a
+    /// small header (it was 1.84x the snapshot while the blob travelled as a
+    /// `Vec<u8>` of varints), and it decodes back to the same parts.
+    #[test]
+    fn a_checkpoint_payload_is_the_snapshot_plus_a_small_header() {
+        const KEYS: u64 = 131_172;
+        let executor = Executor::new(KvStore::factory(), NodeId(0), 1, &Registry::new());
+        let mut applied = AppliedSummary::default();
+        let puts: Vec<Command> = (1..=KEYS)
+            .map(|n| Command::put(CommandId::new(NodeId(0), n), n.wrapping_mul(0x9E37_79B9), n))
+            .collect();
+        applied.extend(puts.iter().map(Command::id));
+        executor.apply_round(&puts);
+        let cursor = ExecutionCursor::Ids;
+
+        let started = Instant::now();
+        let snapshot = executor.snapshot();
+        let snapshot_us = started.elapsed().as_micros();
+        let payload = encode_checkpoint(&snapshot, &applied, &applied, &cursor);
+        println!(
+            "{KEYS} keys: snapshot {} bytes in {snapshot_us} us, payload {} bytes, \
+             snapshot + encode {} us",
+            snapshot.len(),
+            payload.len(),
+            started.elapsed().as_micros()
+        );
+        assert!(payload.len() <= snapshot.len() + 64, "{} bytes of header", payload.len());
+        assert!(payload.len() as f64 <= 1.05 * snapshot.len() as f64);
+
+        let parts = decode_checkpoint(&payload).expect("decodes");
+        assert_eq!(parts.snapshot, snapshot.as_slice());
+        assert_eq!(parts.applied, applied);
+        assert_eq!(parts.ordered, applied);
+        assert_eq!(parts.cursor, cursor);
+        // A truncated payload and one with trailing bytes are both refused.
+        assert!(decode_checkpoint(&payload[..payload.len() - 1]).is_err());
+        let mut longer = payload.clone();
+        longer.push(0);
+        assert!(decode_checkpoint(&longer).is_err());
+        // So is the layout older builds wrote (snapshot first, as varints).
+        let old = bincode::serialize(&(&snapshot, &applied, &applied, &cursor)).expect("encodes");
+        assert!(decode_checkpoint(&old).is_err());
     }
 }

@@ -240,18 +240,47 @@ impl<M: serde::Serialize> serde::Serialize for WireMessage<M> {
                 bytes,
                 suffix,
                 cursor,
-            } => {
-                serde::write_variant_tag(out, 8);
-                from.serialize(out);
-                applied_through.serialize(out);
-                seq.serialize(out);
-                total.serialize(out);
-                bytes.serialize(out);
-                suffix.serialize(out);
-                cursor.serialize(out);
+            } => SnapshotChunkRef {
+                from: *from,
+                applied_through: *applied_through,
+                seq: *seq,
+                total: *total,
+                bytes,
+                suffix,
+                cursor,
             }
+            .serialize(out),
             WireMessage::StatsRequest => serde::write_variant_tag(out, 9),
         }
+    }
+}
+
+/// A [`WireMessage::SnapshotChunk`] over borrowed parts. It is that
+/// variant's encoder, so a donor frames each chunk straight from its
+/// checkpoint payload and suffix log without copying either into an owned
+/// message first.
+pub(crate) struct SnapshotChunkRef<'a> {
+    pub(crate) from: NodeId,
+    pub(crate) applied_through: u64,
+    pub(crate) seq: u32,
+    pub(crate) total: u32,
+    pub(crate) bytes: &'a [u8],
+    pub(crate) suffix: &'a [Command],
+    pub(crate) cursor: &'a ExecutionCursor,
+}
+
+impl serde::Serialize for SnapshotChunkRef<'_> {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        serde::write_variant_tag(out, 8);
+        self.from.serialize(out);
+        self.applied_through.serialize(out);
+        self.seq.serialize(out);
+        self.total.serialize(out);
+        // Raw, not `Vec<u8>`'s varint-per-byte sequence: snapshot bytes are
+        // high-entropy, so half of them would take two bytes on the wire.
+        serde::write_bytes(out, self.bytes);
+        self.suffix.serialize(out);
+        self.cursor.serialize(out);
     }
 }
 
@@ -274,7 +303,7 @@ impl<M: serde::Deserialize> serde::Deserialize for WireMessage<M> {
                 applied_through: u64::deserialize(input)?,
                 seq: u32::deserialize(input)?,
                 total: u32::deserialize(input)?,
-                bytes: Vec::deserialize(input)?,
+                bytes: serde::read_bytes(input)?.to_vec(),
                 suffix: Vec::deserialize(input)?,
                 cursor: ExecutionCursor::deserialize(input)?,
             }),
@@ -593,6 +622,23 @@ mod tests {
         for msg in &messages {
             assert_eq!(&round_trip(msg), msg);
         }
+    }
+
+    #[test]
+    fn snapshot_chunk_bytes_cost_one_wire_byte_each() {
+        let chunk = |bytes: Vec<u8>| WireMessage::<u64>::SnapshotChunk {
+            from: NodeId(1),
+            applied_through: 7,
+            seq: 0,
+            total: 1,
+            bytes,
+            suffix: Vec::new(),
+            cursor: ExecutionCursor::Ids,
+        };
+        let empty = frame_bytes(&chunk(Vec::new())).expect("frames").len();
+        let full = frame_bytes(&chunk(vec![0xff; 100_000])).expect("frames").len();
+        // The three-byte length prefix replaces the empty chunk's single one.
+        assert_eq!(full - empty, 100_000 + 2);
     }
 
     #[test]

@@ -109,6 +109,23 @@ where
     }
 }
 
+/// The catch-ups `node` has completed, once there is one (or the deadline
+/// passes). The restored watermark becomes visible a moment before the
+/// restoring core loop bumps its counters, so a reader that saw the
+/// watermark must wait for the count rather than sample it.
+fn completed_catch_ups<P>(cluster: &NetCluster<P>, node: NodeId) -> u64
+where
+    P: Process + Send + 'static,
+    P::Message: serde::Serialize + serde::Deserialize + Send + 'static,
+{
+    let stats = cluster.replica_stats(node);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stats.catch_ups_completed.get() == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    stats.catch_ups_completed.get()
+}
+
 /// The full lifecycle, identical for every protocol: pre-crash writes →
 /// crash → downtime traffic → restart with a fresh process and empty state
 /// machine → snapshot catch-up → parity checks → a pre-crash read served by
@@ -193,9 +210,8 @@ where
         cluster.state_fingerprint(SURVIVOR),
         "[{label}] restarted replica's state-machine digest equals a never-crashed peer's"
     );
-    let stats = cluster.replica_stats(CRASH);
     assert_eq!(
-        stats.catch_ups_completed.get(),
+        completed_catch_ups(&cluster, CRASH),
         1,
         "[{label}] the restart completes exactly one snapshot catch-up"
     );
@@ -317,9 +333,8 @@ fn restarted_replica_serves_pre_crash_reads_via_snapshot_transfer() {
         cluster.state_fingerprint(SURVIVOR),
         "restarted replica's state-machine digest must equal a never-crashed peer's"
     );
-    let stats = cluster.replica_stats(CRASH);
     assert_eq!(
-        stats.catch_ups_completed.get(),
+        completed_catch_ups(&cluster, CRASH),
         1,
         "the restart must have completed exactly one snapshot catch-up"
     );
@@ -400,7 +415,13 @@ where
     }
 
     // Phase 1: hybrid recovery. The crashed replica's log holds the
-    // pre-crash prefix; the downtime traffic only exists at the donors.
+    // pre-crash prefix; the downtime traffic only exists at the donors. The
+    // replies above came from SURVIVOR: let CRASH apply the prefix too, so
+    // its log ends in a suffix past the last checkpoint, not wherever it
+    // happened to lag.
+    let prefix = pre_crash_commands().len() as u64;
+    let applied = cluster.wait_for_applied(CRASH, prefix, Duration::from_secs(30));
+    assert_eq!(applied, prefix, "[{label}] {CRASH} applies the pre-crash writes");
     cluster.stop_replica(CRASH);
     std::thread::sleep(Duration::from_millis(100));
     let total = (pre_crash_commands().len() + downtime_commands().len()) as u64;

@@ -72,6 +72,7 @@ check_sym "$doc" StateTransfer 'pub struct StateTransfer' crates/types/src/trans
 check_sym "$doc" AppliedSummary 'pub struct AppliedSummary' crates/types/src/transfer.rs
 check_sym "$doc" ExecutionCursor 'pub enum ExecutionCursor' crates/types/src/transfer.rs
 check_sym "$doc" checkpoint_interval 'checkpoint_interval' crates/net/src/replica.rs
+check_sym "$doc" checkpoint-cadence-rule 'fn checkpoint_due' crates/net/src/replica.rs
 check_sym "$doc" catch_up_timeout 'catch_up_timeout' crates/net/src/replica.rs
 check_sym "$doc" restart_replica 'fn restart_replica' crates/net/src/cluster.rs
 check_sym "$doc" wait_for_applied 'fn wait_for_applied' crates/net/src/cluster.rs
@@ -93,6 +94,8 @@ check_sym "$doc" NetReplicaConfig::data_dir 'pub data_dir' crates/net/src/replic
 check_sym "$doc" NetConfig::with_data_dir 'pub fn with_data_dir' crates/net/src/cluster.rs
 check_sym "$doc" NetCluster::power_cycle 'pub fn power_cycle' crates/net/src/cluster.rs
 check_sym "$doc" consensus_node--data-dir '"--data-dir"' src/bin/consensus_node.rs
+check_sym "$doc" wal.checkpoint_undecodable 'wal\.checkpoint_undecodable' crates/net/src/replica.rs
+check_sym "$doc" wal.checkpoint_rejected 'wal\.checkpoint_rejected' crates/net/src/replica.rs
 
 doc=docs/OBSERVABILITY.md
 check_doc "$doc"
@@ -112,6 +115,11 @@ check_sym "$doc" Event::StatsReply 'StatsReply' crates/net/src/wire.rs
 check_sym "$doc" scrape_stats 'pub fn scrape_stats' crates/net/src/client.rs
 check_sym "$doc" fetch_stats 'pub fn fetch_stats' crates/net/src/client.rs
 check_sym "$doc" consensus_node--stats '"--stats"' src/bin/consensus_node.rs
+check_sym "$doc" checkpoint.cuts 'checkpoint\.cuts' crates/net/src/replica.rs
+check_sym "$doc" checkpoint.cut_us 'checkpoint\.cut_us' crates/net/src/replica.rs
+check_sym "$doc" checkpoint.payload_bytes 'checkpoint\.payload_bytes' crates/net/src/replica.rs
+check_sym "$doc" checkpoint.suffix_units 'checkpoint\.suffix_units' crates/net/src/replica.rs
+check_sym "$doc" wal.checkpoint_failed 'wal\.checkpoint_failed' crates/net/src/replica.rs
 
 doc=docs/THROUGHPUT.md
 check_doc "$doc"
