@@ -123,6 +123,8 @@ impl DeliveryEngine {
         if remaining.is_empty() {
             self.execute(id, &mut out);
         } else {
+            // Only builds the reverse index; `execute` fixes the release order.
+            #[allow(clippy::iter_over_hash_type)]
             for &p in &remaining {
                 self.waiters.entry(p).or_default().insert(id);
             }
@@ -143,6 +145,10 @@ impl DeliveryEngine {
         self.waiting.remove(&id);
         out.push(id);
         let Some(waiters) = self.waiters.remove(&id) else { return };
+        // Release in timestamp order, not hash order, so a seeded run
+        // delivers identically every time.
+        let mut waiters: Vec<CommandId> = waiters.into_iter().collect();
+        waiters.sort_unstable_by_key(|w| (self.stable_ts.get(w).copied(), *w));
         for w in waiters {
             let done = match self.waiting.get_mut(&w) {
                 Some(remaining) => {
@@ -172,6 +178,8 @@ impl DeliveryEngine {
         // arrived with the snapshot — so drop it rather than re-deliver it.
         self.waiting.retain(|id, _| !executed.contains(*id));
         let mut newly_ready: Vec<CommandId> = Vec::new();
+        // `newly_ready` is sorted below, so hash order cannot escape.
+        #[allow(clippy::iter_over_hash_type)]
         for (&id, remaining) in self.waiting.iter_mut() {
             remaining.retain(|p| !executed.contains(*p));
             if remaining.is_empty() {

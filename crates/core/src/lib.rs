@@ -75,6 +75,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::iter_over_hash_type)]
 
 mod clock;
 mod config;

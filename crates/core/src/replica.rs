@@ -685,6 +685,10 @@ impl CaesarReplica {
     /// Re-evaluates parked proposals whose blocker `changed` made progress.
     fn notify_history_change(&mut self, changed: CommandId, ctx: &mut Context<'_, CaesarMessage>) {
         let Some(waiting) = self.parked_by_blocker.remove(&changed) else { return };
+        // Id order, not hash order: replies sent here draw network jitter, so
+        // their order decides the rest of a seeded run.
+        let mut waiting: Vec<CommandId> = waiting.into_iter().collect();
+        waiting.sort_unstable();
         for cmd_id in waiting {
             let Some(parked) = self.parked.get(&cmd_id) else { continue };
             let blockers = self.history.wait_blockers(&parked.cmd, parked.time);
@@ -789,7 +793,11 @@ impl CaesarReplica {
         ctx: &mut Context<'_, CaesarMessage>,
     ) {
         let ballot = state.ballot;
-        let infos: Vec<&RecoveryInfo> = state.replies.values().flatten().collect();
+        // Node order, not hash order, so the `find`s below pick reproducibly.
+        let mut replies: Vec<_> = state.replies.iter().collect();
+        replies.sort_unstable_by_key(|(node, _)| **node);
+        let infos: Vec<&RecoveryInfo> =
+            replies.into_iter().filter_map(|(_, i)| i.as_ref()).collect();
         // Keep only the tuples from the highest ballot seen (Figure 5, lines 5–6).
         let max_ballot = infos.iter().map(|i| i.ballot).max();
         let recovery_set: Vec<&RecoveryInfo> = match max_ballot {

@@ -51,6 +51,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::iter_over_hash_type)]
 
 mod exec;
 mod replica;

@@ -389,12 +389,20 @@ impl EpaxosReplica {
         self.apply_executions(executed, ctx);
         // Committing one instance may unblock others whose closure now
         // resolves; try the still-pending ones that depend on it.
-        let pending: Vec<CommandId> = self
+        self.execute_committed(ctx);
+    }
+
+    /// Tries to execute every committed, not yet executed instance, in id
+    /// order: hash order would make a seeded run deliver differently each
+    /// time.
+    fn execute_committed(&mut self, ctx: &mut Context<'_, EpaxosMessage>) {
+        let mut pending: Vec<CommandId> = self
             .instances
             .iter()
             .filter(|(_, i)| i.status == InstanceStatus::Committed)
             .map(|(id, _)| *id)
             .collect();
+        pending.sort_unstable();
         for id in pending {
             if !self.exec.is_executed(id) {
                 let executed = self.exec.try_execute(id);
@@ -725,25 +733,15 @@ impl Process for EpaxosReplica {
         // never materialized here. Instances and dependencies name consensus
         // *units* — batch ids included — hence the unit-level view rather
         // than the per-leaf `applied` summary.
+        // Only flips statuses; `execute_committed` fixes the execution order.
+        #[allow(clippy::iter_over_hash_type)]
         for (id, instance) in self.instances.iter_mut() {
             if transfer.covers_unit(*id) {
                 instance.status = InstanceStatus::Executed;
             }
         }
         self.exec.absorb_transfer(&transfer.unit_summary());
-        let pending: Vec<CommandId> = self
-            .instances
-            .iter()
-            .filter(|(_, i)| i.status == InstanceStatus::Committed)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in pending {
-            if !self.exec.is_executed(id) {
-                let executed = self.exec.try_execute(id);
-                self.metrics.graph_nodes_visited.add(self.exec.last_visited() as u64);
-                self.apply_executions(executed, ctx);
-            }
-        }
+        self.execute_committed(ctx);
     }
 
     fn processing_cost(&self, msg: &EpaxosMessage) -> SimTime {

@@ -1,7 +1,7 @@
 //! Orchestration of an N-replica cluster over loopback TCP.
 //!
-//! [`NetCluster`] is the socket-runtime analogue of `cluster::Cluster` and
-//! the simulator: it spawns one [`NetReplica`] per node on an OS-assigned
+//! [`NetCluster`] is the socket-runtime analogue of the simulator's
+//! `SimSession`: it spawns one [`NetReplica`] per node on an OS-assigned
 //! loopback port, distributes the address book, opens one *client*
 //! connection per replica, and subscribes to every replica's decision stream
 //! so tests and examples can assert on delivery orders observed **over the
@@ -120,7 +120,7 @@ impl NetConfig {
     /// Enables proposer batching with the given maximum batch size.
     #[must_use]
     pub fn with_batch(mut self, max_batch: usize) -> Self {
-        self.batch = BatchConfig { max_batch: max_batch.max(1), ..BatchConfig::default() };
+        self.batch = BatchConfig { max_batch: max_batch.max(1) };
         self
     }
 
@@ -597,6 +597,12 @@ where
     #[must_use]
     pub fn applied_through(&self, node: NodeId) -> u64 {
         self.replicas[node.index()].applied_through()
+    }
+
+    /// Whether `node`'s executor runs `"sharded"` or `"serial"`.
+    #[must_use]
+    pub fn executor_kind(&self, node: NodeId) -> &'static str {
+        self.replicas[node.index()].executor_kind()
     }
 
     /// Blocks until `node`'s state machine has applied at least `target`

@@ -1,10 +1,10 @@
 //! Proposer batching: coalescing queued client commands into one consensus
 //! instance.
 //!
-//! `BENCH_net_clients.json` showed throughput going flat as client
-//! concurrency grows because every client command was its own consensus
-//! instance — one quorum round-trip, one set of wire frames and one WAL
-//! fsync each. The [`Batcher`] amortizes all three: when a runtime's core
+//! Without batching every client command is its own consensus instance —
+//! one quorum round-trip, one set of wire frames and one WAL fsync each
+//! (compare `consensus_bench`'s `lan-unbatched` and `lan-batched`
+//! workloads). The [`Batcher`] amortizes all three: when a runtime's core
 //! loop turns and finds several client commands queued, it folds them into a
 //! single [`Command::batch`] unit whose conflict footprint is the union of
 //! the inner commands' accesses ([`Command::accesses`]). The protocols order
@@ -18,42 +18,28 @@
 //! unit-id summary ([`Batcher::reseed`]) so a new incarnation never reuses a
 //! previous life's batch ids.
 //!
-//! Knobs ([`BatchConfig`]): `max_batch` bounds how many commands one unit
-//! carries; `max_linger` optionally holds the first command back for a
-//! window so more can join (the default of zero means *batch whatever is
-//! already queued when the loop turns* — no added latency, batches emerge
-//! exactly when load queues commands faster than consensus turns them
-//! around). A single queued command passes through untouched: with
-//! `max_batch = 1` (or idle traffic) the system behaves byte-for-byte as it
-//! did before batching existed.
-
-use std::time::Duration;
+//! Knob ([`BatchConfig`]): `max_batch` bounds how many commands one unit
+//! carries. A batch is whatever is already queued when the loop turns — no
+//! added latency, batches emerge exactly when load queues commands faster
+//! than consensus turns them around. A single queued command passes through
+//! untouched: with `max_batch = 1` (or idle traffic) the system behaves
+//! byte-for-byte as it did before batching existed.
 
 use consensus_types::{AppliedSummary, Command, CommandId, NodeId, BATCH_LANE};
 
-/// Tuning knobs of the proposer batcher.
+/// Tuning knob of the proposer batcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Maximum number of client commands folded into one consensus unit.
     /// `1` disables batching entirely (every command is its own instance).
     pub max_batch: usize,
-    /// How long the core loop may hold the first queued command back to let
-    /// more join its batch. Zero (the default) never waits: a batch is
-    /// whatever was already queued when the loop turned.
-    pub max_linger: Duration,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        Self { max_batch: 64, max_linger: Duration::ZERO }
-    }
 }
 
 impl BatchConfig {
     /// A config that disables batching (`max_batch = 1`).
     #[must_use]
     pub fn disabled() -> Self {
-        Self { max_batch: 1, max_linger: Duration::ZERO }
+        Self { max_batch: 1 }
     }
 
     /// Whether batching is enabled at all.

@@ -56,6 +56,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::iter_over_hash_type)]
 
 mod latency;
 mod process;

@@ -27,8 +27,8 @@ pub struct Context<'a, M> {
 }
 
 impl<'a, M> Context<'a, M> {
-    /// Creates a context for an external runtime (the `cluster` and `net`
-    /// runtimes use this). The simulator builds its contexts internally, so
+    /// Creates a context for an external runtime (the `net` runtime uses
+    /// this). The simulator builds its contexts internally, so
     /// most users never call it. Tracing is off; chain
     /// [`Context::with_spans`] to collect span events.
     pub fn for_runtime(

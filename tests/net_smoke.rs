@@ -1,16 +1,19 @@
-//! Smoke test for the `net` runtime: a real 5-node CAESAR cluster over
-//! loopback TCP sockets.
+//! Smoke tests for the `net` runtime: real CAESAR clusters over loopback
+//! TCP sockets.
 //!
 //! Mirrors the acceptance bar for the socket runtime: ≥ 100 commands
 //! proposed from ≥ 2 different replicas are decided over real TCP, every
 //! replica reports the identical delivery order, and non-conflicting
-//! commands decide on the fast path.
+//! commands decide on the fast path. Conflicting commands proposed from
+//! three continents must also agree under (scaled-down) EC2 delays, and an
+//! idle cluster must shut down cleanly.
 
 use std::time::Duration;
 
 use caesar::{CaesarConfig, CaesarReplica};
-use consensus_types::{Command, CommandId, DecisionPath, NodeId};
-use net::{NetCluster, NetConfig};
+use consensus_types::{Command, CommandId, Decision, DecisionPath, NodeId};
+use net::{DelayShim, NetCluster, NetConfig};
+use simnet::LatencyMatrix;
 
 const NODES: usize = 5;
 /// Commands in the fully conflicting agreement phase (all touch KEY).
@@ -111,5 +114,48 @@ fn five_node_caesar_cluster_agrees_over_tcp() {
     assert!(received > 1_000, "only {received} frames received over TCP");
     assert_eq!(dropped, 0, "{dropped} frames dropped on healthy loopback links");
 
+    cluster.shutdown();
+}
+
+#[test]
+fn caesar_agrees_on_conflicting_commands_under_ec2_delays() {
+    let caesar = CaesarConfig::new(NODES).with_recovery_timeout(None);
+    let config =
+        NetConfig::new(NODES).with_delay(DelayShim::new(LatencyMatrix::ec2_five_sites(), 0.004));
+    let cluster = NetCluster::start(config, move |id| CaesarReplica::new(id, caesar.clone()))
+        .expect("cluster starts");
+
+    // Conflicting updates from three continents plus an independent command.
+    let key7 =
+        [CommandId::new(NodeId(0), 1), CommandId::new(NodeId(3), 1), CommandId::new(NodeId(4), 1)];
+    for (id, value) in key7.iter().zip([10, 30, 40]) {
+        cluster.submit(id.origin(), Command::put(*id, KEY, value)).expect("submit over TCP");
+    }
+    let independent = Command::put(CommandId::new(NodeId(1), 1), 99, 1);
+    cluster.submit(NodeId(1), independent).expect("submit over TCP");
+
+    let d0 = cluster.wait_for_decisions(NodeId(0), 4, Duration::from_secs(15));
+    let d4 = cluster.wait_for_decisions(NodeId(4), 4, Duration::from_secs(15));
+    assert_eq!(d0.len(), 4, "Virginia must execute all four commands");
+    assert_eq!(d4.len(), 4, "Mumbai must execute all four commands");
+
+    // The three conflicting commands must appear in the same relative order.
+    let order = |ds: &[Decision]| -> Vec<CommandId> {
+        ds.iter().map(|d| d.command).filter(|c| key7.contains(c)).collect()
+    };
+    assert_eq!(order(&d0), order(&d4), "conflicting commands must be ordered identically");
+    cluster.shutdown();
+}
+
+#[test]
+fn cluster_reports_elapsed_time_and_handles_idle_shutdown() {
+    let caesar = CaesarConfig::new(3).with_recovery_timeout(None);
+    let config =
+        NetConfig::new(3).with_delay(DelayShim::new(LatencyMatrix::uniform(3, 10.0), 0.01));
+    let cluster = NetCluster::start(config, move |id| CaesarReplica::new(id, caesar.clone()))
+        .expect("cluster starts");
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(cluster.elapsed() >= Duration::from_millis(10));
+    assert!(cluster.decisions(NodeId(0)).is_empty());
     cluster.shutdown();
 }

@@ -1,5 +1,5 @@
-//! Sharded-vs-serial execution parity, for **every** protocol: a thread
-//! cluster where replicas p1 and p3 run a 4-way *sharded* executor while
+//! Sharded-vs-serial execution parity, for **every** protocol: a TCP
+//! cluster (EC2 delays, scaled down) where replicas p1 and p3 run a 4-way *sharded* executor while
 //! p0, p2 and p4 apply *serially*, driven with a conflict-heavy batched
 //! workload over a six-key keyspace. Consensus fixes one total order per
 //! conflict class; the sharded executor is only allowed to exploit the
@@ -18,13 +18,13 @@
 use std::time::{Duration, Instant};
 
 use caesar::{CaesarConfig, CaesarReplica};
-use cluster::{Cluster, ClusterConfig};
 use consensus_core::session::{ClusterHandle, Op};
 use consensus_types::NodeId;
 use epaxos::{EpaxosConfig, EpaxosReplica};
 use m2paxos::{M2PaxosConfig, M2PaxosReplica};
 use mencius::{MenciusConfig, MenciusReplica};
 use multipaxos::{MultiPaxosConfig, MultiPaxosReplica};
+use net::{DelayShim, NetCluster, NetConfig};
 use simnet::{LatencyMatrix, Process};
 
 const NODES: usize = 5;
@@ -46,14 +46,14 @@ fn worker_layout() -> Vec<usize> {
 fn run_parallel_matrix<P, F>(label: &str, make: F)
 where
     P: Process + Send + 'static,
-    P::Message: Send + 'static,
+    P::Message: serde::Serialize + serde::Deserialize + Send + 'static,
     F: FnMut(NodeId) -> P,
 {
-    let config = ClusterConfig::new(LatencyMatrix::ec2_five_sites())
-        .with_latency_scale(0.005)
+    let config = NetConfig::new(NODES)
+        .with_delay(DelayShim::new(LatencyMatrix::ec2_five_sites(), 0.005))
         .with_batch(8)
         .with_exec_workers_per_node(worker_layout());
-    let cluster = Cluster::start(config, make);
+    let cluster = NetCluster::start(config, make).expect("net cluster starts");
     for (index, workers) in worker_layout().into_iter().enumerate() {
         let expected = if workers > 1 { "sharded" } else { "serial" };
         assert_eq!(

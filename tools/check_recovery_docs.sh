@@ -36,9 +36,6 @@ check_doc() { # doc
     # 2. Every backticked repo path must exist.
     local path
     for path in $(grep -oE '`[a-zA-Z0-9_/.-]+\.(rs|md|toml|sh|json)`' "$doc" | tr -d '`' | sort -u); do
-        case "$path" in
-        BENCH_*.json) continue ;; # bench outputs; regenerated, may be absent
-        esac
         if [ ! -e "$path" ]; then
             echo "FAIL: dead path '$path' named in $doc"
             fail=1
@@ -136,7 +133,6 @@ check_sym "$doc" StateMachine::split_snapshot 'fn split_snapshot' crates/session
 check_sym "$doc" StateMachine::merge_snapshot 'fn merge_snapshot' crates/session/src/state_machine.rs
 check_sym "$doc" NetConfig::with_batch 'pub fn with_batch' crates/net/src/cluster.rs
 check_sym "$doc" NetConfig::with_exec_workers 'pub fn with_exec_workers' crates/net/src/cluster.rs
-check_sym "$doc" ClusterConfig::with_batch 'pub fn with_batch' crates/cluster/src/lib.rs
 check_sym "$doc" SimConfig::with_batch 'pub fn with_batch' crates/simnet/src/sim.rs
 check_sym "$doc" batch.assembled 'batch\.assembled' crates/net/src/replica.rs
 check_sym "$doc" wal.fsyncs 'wal\.fsyncs' crates/wal/src/store.rs
